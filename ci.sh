@@ -52,3 +52,7 @@ cargo run --release -p cedar-bench --bin scavenge_scale -- --smoke
 # and semi-sync failovers lose nothing acknowledged, async stays within
 # its lag bound, and both resync paths converge.
 cargo run --release -p cedar-bench --bin replication -- --smoke
+# Benchmark harness self-tests (perfbench is its own workspace): metric
+# naming, trial combination, span reconciliation, and a crashed disk's
+# recovery repeating bit for bit across two builds.
+cargo test --offline --manifest-path perfbench/Cargo.toml

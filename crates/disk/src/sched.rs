@@ -21,8 +21,9 @@
 //! mid-batch lands inside exactly one window: every earlier window is
 //! fully durable, every later window never started, and only the crash
 //! window itself exposes the reordering. This is the contract the FSD
-//! log relies on — data sectors and their copies in one window, a
-//! barrier, then the commit record.
+//! log relies on — headers and the original data sectors in one window,
+//! a barrier, then the commit record with the data copies behind it:
+//! a durable commit record implies every original is durable.
 //!
 //! Two requests whose sector ranges overlap have a data dependency, so
 //! the scheduler inserts an *implicit* barrier between them: submission

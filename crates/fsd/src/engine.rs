@@ -459,9 +459,10 @@ impl FsdEngine {
     ) -> Result<Self, CedarFsError> {
         vol.set_commit_interval(Micros::MAX);
         // Warm the name index so reads are served without queueing from
-        // the first operation.
+        // the first operation. After a boot that rebuilt the VAM this is
+        // the listing that walk collected, not a second walk.
         let mut index = BTreeMap::new();
-        match FsBackend::list(&mut vol, "") {
+        match vol.take_newest_listing() {
             Ok(infos) => {
                 for info in infos {
                     index.insert(info.name.clone(), info);

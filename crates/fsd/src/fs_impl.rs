@@ -26,6 +26,16 @@ impl From<FsdError> for CedarFsError {
     }
 }
 
+/// Appends `info` to a listing built in name-table order (name, then
+/// version ascending), keeping only the last entry seen per name: the
+/// newest version.
+pub(crate) fn push_newest(out: &mut Vec<FileInfo>, info: FileInfo) {
+    match out.last_mut() {
+        Some(last) if last.name == info.name => *last = info,
+        _ => out.push(info),
+    }
+}
+
 impl FsBackend for FsdVolume {
     fn kind(&self) -> &'static str {
         "fsd"
@@ -75,19 +85,16 @@ impl FsBackend for FsdVolume {
     }
 
     fn list(&mut self, prefix: &str) -> Result<Vec<FileInfo>, CedarFsError> {
-        // Name-table order is (name, version ascending): keep the last
-        // entry seen per name, i.e. the newest version.
         let mut out: Vec<FileInfo> = Vec::new();
         for (fname, entry) in FsdVolume::list(self, prefix)? {
-            let info = FileInfo {
-                name: fname.name.clone(),
-                version: fname.version,
-                bytes: entry.byte_size,
-            };
-            match out.last_mut() {
-                Some(last) if last.name == info.name => *last = info,
-                _ => out.push(info),
-            }
+            push_newest(
+                &mut out,
+                FileInfo {
+                    name: fname.name,
+                    version: fname.version,
+                    bytes: entry.byte_size,
+                },
+            );
         }
         Ok(out)
     }

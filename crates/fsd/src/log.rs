@@ -415,12 +415,15 @@ impl Log {
         debug_assert_eq!(bytes.len(), len as usize * SECTOR_BYTES);
         // "Data spread over the disk can be logically and atomically
         // updated with a single disk write to the log." The record goes
-        // out as two barrier-separated windows: headers and both data
-        // copies first, then the end pages. Recovery accepts a record
-        // only if an end page is valid, so the barrier guarantees that
-        // acceptance implies every data sector (or its copy) is durable —
-        // the commit record semantics of §5.3, independent of how the
-        // scheduler reorders within each window.
+        // out as two barrier-separated windows split at the commit point:
+        // the headers and the original data pages first, then the end
+        // page, the data copies and the end copy as one contiguous
+        // transfer that starts where window 1 stopped, so the head does
+        // not lose a revolution coming back for the end pages. Recovery
+        // accepts a record only if an end page is valid, and every end
+        // page goes out after the barrier, so acceptance implies every
+        // original data sector is durable — the commit record semantics
+        // of §5.3, independent of how the scheduler orders each window.
         let n = n as u32;
         let at = |sector: u32| self.start + pos + sector;
         let sector_range =
@@ -429,24 +432,18 @@ impl Log {
         // whole record — every sector is exclusively owned by it, so the
         // rewrite is idempotent — escalating a twice-failed sector into a
         // spare-region remap. The barrier holds in every round: the end
-        // pages only ever go out in a window after the headers and data
-        // landed, so a crash mid-retry still cannot yield an accepted
-        // record with missing data.
+        // pages only ever go out in a window after the headers and the
+        // original data landed, so a crash mid-retry still cannot yield
+        // an accepted record with missing data.
         let mut done = false;
         for _ in 0..spare::MAX_ROUNDS {
             let mut batch = IoBatch::new();
             let mut tags = Vec::new();
-            // Window 1: H, blank, H', D₁..Dₙ (contiguous) and D₁'..Dₙ'.
+            // Window 1: H, blank, H', D₁..Dₙ.
             tags.extend(spare.push_write(&mut batch, at(0), sector_range(0, 3 + n)));
-            tags.extend(spare.push_write(&mut batch, at(4 + n), sector_range(4 + n, 4 + 2 * n)));
             batch.barrier();
-            // Window 2: the commit record — E and its copy E'.
-            tags.extend(spare.push_write(&mut batch, at(3 + n), sector_range(3 + n, 4 + n)));
-            tags.extend(spare.push_write(
-                &mut batch,
-                at(4 + 2 * n),
-                sector_range(4 + 2 * n, 5 + 2 * n),
-            ));
+            // Window 2: the commit record E, D₁'..Dₙ', E'.
+            tags.extend(spare.push_write(&mut batch, at(3 + n), sector_range(3 + n, len)));
             let results = sched::execute_partial(disk, self.policy, &batch)?;
             if !spare.absorb(&results, &tags)? {
                 done = true;
@@ -1152,6 +1149,65 @@ mod tests {
         let recs = scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta).unwrap();
         assert_eq!(recs.len(), 1, "only the first record survives");
         assert_eq!(recs[0].seq, 1);
+    }
+
+    #[test]
+    fn crash_after_any_sector_write_drops_record_or_keeps_it_whole() {
+        // One 3-image append is 11 sector writes. Crash after each prefix
+        // of them (with 0, 1 or 2 trailing sectors torn) under both
+        // submission policies: recovery must either drop the record or
+        // return exactly its images — never a mix of old and new.
+        let images = [nt(1, 0, 0x11), nt(2, 1, 0x22), nt(3, 2, 0x33)];
+        let total = 2 * images.len() as u64 + 5;
+        for policy in [IoPolicy::InOrder, IoPolicy::Cscan] {
+            for after in 0..=total {
+                for damaged_tail in 0..=2u8 {
+                    let mut d = disk();
+                    let mut sp = SpareMap::disabled();
+                    let mut log = Log::fresh(LOG_START, LOG_SIZE, 1).unwrap();
+                    log.set_policy(policy);
+                    log.write_meta(&mut d, &mut sp).unwrap();
+                    log.append(&mut d, &mut sp, &[nt(9, 0, 9)], true, no_flush)
+                        .unwrap();
+                    let before = d.stats().sectors_written;
+                    d.schedule_crash(CrashPlan {
+                        after_sector_writes: after,
+                        damaged_tail,
+                    });
+                    let res = log.append(&mut d, &mut sp, &images, true, no_flush);
+                    assert_eq!(res.is_ok(), after == total, "{policy:?} after {after}");
+                    assert_eq!(d.stats().sectors_written - before, after);
+                    d.crash_now();
+                    d.reboot();
+                    let meta = Log::read_meta(&mut d, policy, &mut sp, LOG_START).unwrap();
+                    let recs = scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta).unwrap();
+                    let case = format!("{policy:?}, crash after {after}, tail {damaged_tail}");
+                    assert_eq!(recs[0].images, vec![nt(9, 0, 9)], "{case}");
+                    match recs.len() {
+                        1 => assert!(after < total, "{case}: committed record lost"),
+                        2 => assert_eq!(recs[1].images, images.to_vec(), "{case}"),
+                        n => panic!("{case}: {n} records"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn append_is_two_transfers_without_a_lost_revolution() {
+        // Window 2 starts at the sector after window 1 ends, so the head
+        // carries straight on into the commit record.
+        let mut d = disk();
+        let mut sp = SpareMap::disabled();
+        let mut log = Log::fresh(LOG_START, LOG_SIZE, 1).unwrap();
+        log.write_meta(&mut d, &mut sp).unwrap();
+        let before = d.stats();
+        let images: Vec<_> = (0..4).map(|j| nt(j, 0, j as u8)).collect();
+        log.append(&mut d, &mut sp, &images, true, no_flush)
+            .unwrap();
+        let s = d.stats().since(&before);
+        assert_eq!((s.writes, s.sectors_written), (2, 13));
+        assert_eq!(s.lost_rev_us, 0);
     }
 
     #[test]

@@ -27,6 +27,8 @@
 //!    replica repair. The volume is rebuilt from leader pages alone
 //!    ([`crate::scavenge`]), the way CFS recovered from hardware labels.
 use crate::cache::{FsdNtStore, NtCache, NtMeta};
+use crate::entry::FileEntry;
+use crate::fs_impl::push_newest;
 use crate::layout::{FsdBootPage, FsdLayout};
 use crate::leader::LeaderPage;
 use crate::log::{self, Log, PageTarget};
@@ -38,7 +40,8 @@ use cedar_btree::BTree;
 use cedar_disk::clock::Micros;
 use cedar_disk::sched::{self, IoBatch, IoOp, IoPolicy, OpResult};
 use cedar_disk::{Cpu, SectorAddr, SimDisk, SECTOR_BYTES};
-use cedar_vol::{AllocPolicy, Allocator, Run, Vam};
+use cedar_vol::fs::FileInfo;
+use cedar_vol::{AllocPolicy, Allocator, FileName, Run, Vam};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// The highest recovery rung a boot had to climb to.
@@ -105,8 +108,21 @@ impl FsdVolume {
     // the caller: the platters survive a power cycle mid-recovery.
     #[allow(clippy::result_large_err)]
     pub fn try_boot(
+        disk: SimDisk,
+        config: FsdConfig,
+    ) -> std::result::Result<(FsdVolume, RecoveryReport), (FsdError, SimDisk)> {
+        Self::boot_keeping(disk, config, true)
+    }
+
+    /// [`Self::try_boot`]; `keep_listing` says whether a VAM rebuild
+    /// also keeps the listing an engine start would otherwise walk for.
+    /// Boots whose volume is dismounted right away (a replica's
+    /// full-state transfer) skip it.
+    #[allow(clippy::result_large_err)]
+    pub(crate) fn boot_keeping(
         mut disk: SimDisk,
         config: FsdConfig,
+        keep_listing: bool,
     ) -> std::result::Result<(FsdVolume, RecoveryReport), (FsdError, SimDisk)> {
         let layout = FsdLayout::compute(disk.geometry(), config.nt_pages, config.log_sectors);
         let cpu = Cpu::new(disk.clock(), config.cpu);
@@ -155,10 +171,16 @@ impl FsdVolume {
             io_policy: config.io_policy,
             spare,
             repl: None,
+            boot_listing: None,
         };
         vol.last_force = vol.clock().now();
 
-        match vol.finish_boot(vam_was_valid, config.scavenge_workers, &mut report) {
+        match vol.finish_boot(
+            vam_was_valid,
+            config.scavenge_workers,
+            keep_listing,
+            &mut report,
+        ) {
             Ok(()) => {
                 report.scrubbed_sectors += vol.spare.scrubbed;
                 report.remapped_sectors += vol.spare.remapped;
@@ -179,6 +201,7 @@ impl FsdVolume {
         &mut self,
         vam_was_valid: bool,
         workers: usize,
+        keep_listing: bool,
         report: &mut RecoveryReport,
     ) -> Result<()> {
         let root = {
@@ -220,7 +243,7 @@ impl FsdVolume {
         }
         if need_rebuild {
             report.vam_reconstructed = true;
-            report.files_scanned = self.reconstruct_vam(workers)?;
+            report.files_scanned = self.reconstruct_vam(workers, keep_listing)?;
         }
         if self.boot.vam_logged {
             // New log epoch: write a fresh base image and restart the
@@ -240,7 +263,14 @@ impl FsdVolume {
     /// building a partial claimed-sector bitmap; the shards merge with a
     /// word-level OR and subtract from the base free map, which is
     /// bit-identical to the serial allocate-per-run loop.
-    fn reconstruct_vam(&mut self, workers: usize) -> Result<u64> {
+    ///
+    /// With `keep_listing` the same walk also keeps the keys and leaves
+    /// the newest version of every file in [`FsdVolume::boot_listing`],
+    /// so the engine starting on this volume need not walk the table a
+    /// second time. Shards are contiguous in key order, so versions are
+    /// collapsed after concatenating them. A key that does not decode
+    /// drops the listing: the engine's own walk then reports it.
+    fn reconstruct_vam(&mut self, workers: usize, keep_listing: bool) -> Result<u64> {
         let mut vam = Vam::new_all_allocated(self.layout.total_sectors);
         vam.free_run(Run::new(
             self.layout.small_start,
@@ -250,7 +280,7 @@ impl FsdVolume {
             self.layout.central_end,
             self.layout.total_sectors - self.layout.central_end,
         ));
-        let mut entries: Vec<Vec<u8>> = Vec::new();
+        let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
         let tree = self.tree;
         {
             let mut store = FsdNtStore {
@@ -272,46 +302,52 @@ impl FsdVolume {
             store
                 .prefetch_pages(&in_use)
                 .map_err(cedar_btree::BTreeError::Store)?;
-            tree.for_each(&mut store, &mut |_, v| {
-                entries.push(v.to_vec());
+            tree.for_each(&mut store, &mut |k, v| {
+                let key = if keep_listing { k.to_vec() } else { Vec::new() };
+                entries.push((key, v.to_vec()));
                 true
             })?;
         }
         let files = entries.len() as u64;
+        let mut listing = keep_listing.then(Vec::new);
         if workers <= 1 || entries.is_empty() {
             self.cpu.entries(files);
-            for raw in entries {
-                let entry = crate::entry::FileEntry::decode(&raw)?;
+            for (key, raw) in &entries {
+                let entry = FileEntry::decode(raw)?;
                 if entry.leader_addr != 0 {
                     vam.allocate_run(Run::new(entry.leader_addr, 1));
                 }
                 for r in entry.run_table.runs() {
                     vam.allocate_run(*r);
                 }
+                push_listed(&mut listing, key, &entry);
             }
         } else {
             let t0 = self.clock().now();
             let total_sectors = self.layout.total_sectors;
             let shard_len = entries.len().div_ceil(workers);
             let cpu = &self.cpu;
-            let shards: Vec<Result<(Vam, cedar_disk::clock::Micros)>> = std::thread::scope(|s| {
+            type Shard = (Vam, Micros, Option<Vec<FileInfo>>);
+            let shards: Vec<Result<Shard>> = std::thread::scope(|s| {
                 let handles: Vec<_> = entries
                     .chunks(shard_len)
                     .map(|shard| {
                         let mut wcpu = cpu.worker();
                         s.spawn(move || {
                             let mut claimed = Vam::new_all_allocated(total_sectors);
+                            let mut listed = keep_listing.then(Vec::new);
                             wcpu.entries(shard.len() as u64);
-                            for raw in shard {
-                                let entry = crate::entry::FileEntry::decode(raw)?;
+                            for (key, raw) in shard {
+                                let entry = FileEntry::decode(raw)?;
                                 if entry.leader_addr != 0 {
                                     claimed.free_run(Run::new(entry.leader_addr, 1));
                                 }
                                 for r in entry.run_table.runs() {
                                     claimed.free_run(*r);
                                 }
+                                push_listed(&mut listed, key, &entry);
                             }
-                            Ok((claimed, wcpu.into_us()))
+                            Ok((claimed, wcpu.into_us(), listed))
                         })
                     })
                     .collect();
@@ -328,9 +364,19 @@ impl FsdVolume {
             let mut first_err = None;
             for shard in shards {
                 match shard {
-                    Ok((part, us)) => {
+                    Ok((part, us, listed)) => {
                         claimed.merge_or(&part);
                         worker_us.push(us);
+                        // A name's versions may straddle two shards:
+                        // collapse again across the boundary.
+                        match (listing.as_mut(), listed) {
+                            (Some(out), Some(listed)) => {
+                                for info in listed {
+                                    push_newest(out, info);
+                                }
+                            }
+                            _ => listing = None,
+                        }
                     }
                     Err(e) => first_err = first_err.or(Some(e)),
                 }
@@ -342,7 +388,25 @@ impl FsdVolume {
             vam.subtract(&claimed);
         }
         self.vam = vam;
+        self.boot_listing = listing;
         Ok(files)
+    }
+}
+
+/// Adds the entry stored under `key` to a boot listing being collected
+/// in name-table order; an undecodable key drops the whole listing.
+fn push_listed(listing: &mut Option<Vec<FileInfo>>, key: &[u8], entry: &FileEntry) {
+    let Some(out) = listing else { return };
+    match FileName::from_key(key) {
+        Ok(fname) => push_newest(
+            out,
+            FileInfo {
+                name: fname.name,
+                version: fname.version,
+                bytes: entry.byte_size,
+            },
+        ),
+        Err(_) => *listing = None,
     }
 }
 

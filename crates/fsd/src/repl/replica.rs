@@ -119,7 +119,8 @@ impl Replica {
         let fork = primary.disk.fork_with_clock(SimClock::new());
         let transfer_sectors = u64::from(fork.materialized_sectors());
 
-        let (mut vol, _report) = FsdVolume::boot(fork, config)?;
+        let (mut vol, _report) =
+            FsdVolume::boot_keeping(fork, config, false).map_err(|(e, _)| e)?;
         vol.sync_home_all()?;
         let layout = vol.layout;
         let remap = vol.spare.entries().to_vec();

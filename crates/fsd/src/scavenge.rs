@@ -211,6 +211,7 @@ pub(crate) fn scavenge_boot(
         io_policy: config.io_policy,
         spare,
         repl: None,
+        boot_listing: None,
     };
     vol.last_force = vol.clock().now();
 

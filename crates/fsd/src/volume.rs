@@ -30,6 +30,7 @@ use cedar_disk::sched::IoPolicy;
 use cedar_disk::{
     Cpu, CpuModel, DiskStats, SectorAddr, SimClock, SimDisk, SECTOR_BYTES, SECTOR_BYTES_U64,
 };
+use cedar_vol::fs::{CedarFsError, FileInfo, FsBackend};
 use cedar_vol::{AllocPolicy, Allocator, FileName, Run, RunTable, Vam};
 use std::collections::{BTreeSet, HashMap};
 
@@ -190,6 +191,10 @@ pub struct FsdVolume {
     /// plus the data-area writes drained from the disk write journal)
     /// for the shipper to stream to a replica.
     pub(crate) repl: Option<crate::repl::ReplTap>,
+    /// The newest version of every file, collected by the boot's VAM
+    /// rebuild from the same name-table walk; dropped at the first
+    /// name-table change. See [`Self::take_newest_listing`].
+    pub(crate) boot_listing: Option<Vec<FileInfo>>,
 }
 
 /// Crate-private alias so `recovery.rs` can construct the volume without
@@ -248,6 +253,7 @@ impl FsdVolume {
             io_policy: config.io_policy,
             spare: SpareMap::for_layout(&layout),
             repl: None,
+            boot_listing: None,
         };
         vol.log.set_policy(config.io_policy);
         {
@@ -907,6 +913,7 @@ impl FsdVolume {
     }
 
     pub(crate) fn put_entry(&mut self, fname: &FileName, entry: &FileEntry) -> Result<()> {
+        self.boot_listing = None;
         let mut tree = self.tree;
         {
             let mut store = nt_store!(self);
@@ -1382,6 +1389,7 @@ impl FsdVolume {
         self.invalidate_vam_hint()?;
         let fname = self.resolve(name, version)?;
         let entry = self.get_entry(&fname)?;
+        self.boot_listing = None;
         let mut tree = self.tree;
         {
             let mut store = nt_store!(self);
@@ -1403,6 +1411,19 @@ impl FsdVolume {
         }
         self.force_if_bulky()?;
         Ok(())
+    }
+
+    /// The newest version of every file, in name-table order: exactly
+    /// what [`FsBackend::list`] returns for the empty prefix. A boot that
+    /// rebuilt the VAM collected this listing from the same name-table
+    /// walk; while the table is unchanged since, it is handed over
+    /// without a second walk or its CPU charges. Otherwise (and on any
+    /// later call) it walks as `list("")` does.
+    pub fn take_newest_listing(&mut self) -> std::result::Result<Vec<FileInfo>, CedarFsError> {
+        match self.boot_listing.take() {
+            Some(listing) => Ok(listing),
+            None => FsBackend::list(self, ""),
+        }
     }
 
     /// Lists files under a name prefix with all their properties — no
